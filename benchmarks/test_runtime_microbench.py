@@ -287,6 +287,109 @@ def _pipeline_ablation(workers=4, warm=3, timed=5):
     return out
 
 
+# Real-body stencil: the PRK star stencil of ``repro.apps.stencil`` at a
+# size where footprint bytes (halo reads, block write-backs) are megabytes.
+# CPU is what the parallel run pays in total — parent plus pool workers —
+# read next to what the serial run pays for the same iterations.
+STENCIL_N = 512
+STENCIL_RADIUS = 8
+STENCIL_ITERS = 20
+
+
+def _children_cpu_s():
+    """User + system CPU seconds of this process's live direct children
+    (the pool workers), from ``/proc``; 0 where ``/proc`` is missing.
+    multiprocessing's resource tracker is not a worker and is skipped."""
+    me = str(os.getpid())
+    ticks = os.sysconf("SC_CLK_TCK")
+    total = 0.0
+    try:
+        entries = [e for e in os.listdir("/proc") if e.isdigit()]
+    except OSError:  # pragma: no cover - non-Linux
+        return 0.0
+    for entry in entries:
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                raw = fh.read()
+            fields = raw[raw.rindex(")") + 2:].split()
+            if fields[1] != me:
+                continue
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                if b"resource_tracker" in fh.read():
+                    continue
+        except (OSError, ValueError):
+            continue  # exited in between
+        total += (int(fields[11]) + int(fields[12])) / ticks
+    return total
+
+
+def _stencil_real_body(warm=3):
+    """Steady stencil iterations at workers=2 and serially: CPU ms per
+    iteration, shm bytes staged/slotted per iteration, and the parent's
+    commit ms per iteration.  Recorded only; nothing here is gated."""
+    from repro.apps.stencil import StencilConfig, build_stencil, run_stencil
+    from repro.exec.pool import shutdown_pools
+
+    cfg = StencilConfig(n=STENCIL_N, blocks=(2, 2), radius=STENCIL_RADIUS,
+                        steps=1)
+    out = {
+        "n": STENCIL_N,
+        "radius": STENCIL_RADIUS,
+        "blocks": list(cfg.blocks),
+        "n_nodes": PAR_NODES,
+        "launches_per_iter": 2,
+        "timed_iterations": STENCIL_ITERS,
+    }
+    grids = {}
+    for workers in (1, 2):
+        shutdown_pools()
+        rt = Runtime(RuntimeConfig(n_nodes=PAR_NODES, workers=workers))
+        grid = build_stencil(rt, cfg)
+        for _ in range(warm):
+            run_stencil(rt, grid, steps=1)
+        backend = rt.backend
+        commit_s = [0.0]
+        if workers > 1:
+            commit = backend._commit
+
+            def timed_commit(*args, **kwargs):
+                start = time.perf_counter()
+                try:
+                    return commit(*args, **kwargs)
+                finally:
+                    commit_s[0] += time.perf_counter() - start
+
+            backend._commit = timed_commit
+            arena = backend.pool().arena
+            before = arena.stats.as_dict()
+        cpu0 = time.process_time() + _children_cpu_s()
+        for _ in range(STENCIL_ITERS):
+            run_stencil(rt, grid, steps=1)
+        cpu = time.process_time() + _children_cpu_s() - cpu0
+        grids[workers] = grid.grid.field_nd("output").tobytes()
+        if workers == 1:
+            out["serial_iter_cpu_ms"] = round(cpu / STENCIL_ITERS * 1e3, 2)
+            continue
+        after = arena.stats.as_dict()
+        assert backend.stats.fallbacks == 0
+        assert after["read_fallbacks"] == before["read_fallbacks"]
+        assert after["write_fallbacks"] == before["write_fallbacks"]
+        out["transport"] = backend.transport
+        out["workers"] = workers
+        out["parallel_iter_cpu_ms"] = round(cpu / STENCIL_ITERS * 1e3, 2)
+        for key in ("bytes_staged", "bytes_slotted"):
+            out[f"{key}_per_iter"] = (
+                (after[key] - before[key]) // STENCIL_ITERS
+            )
+        out["commit_ms_per_iter"] = round(
+            commit_s[0] / STENCIL_ITERS * 1e3, 3
+        )
+    shutdown_pools()
+    # The parallel backend is an execution strategy only.
+    assert grids[2] == grids[1]
+    return out
+
+
 def test_bench_parallel_backend_speedup():
     """Serial vs 2- and 4-worker wall clock -> BENCH_parallel.json.
 
@@ -352,6 +455,7 @@ def test_bench_parallel_backend_speedup():
         "latency": {str(w): latencies[w] for w in sorted(latencies)},
         "counters": counters,
         "pipeline_ablation": _pipeline_ablation(),
+        "stencil": _stencil_real_body(),
     }
     with open(os.path.join(results_dir(), "BENCH_parallel.json"), "w") as fh:
         json.dump(snapshot, fh, indent=2)

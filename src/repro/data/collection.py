@@ -76,12 +76,13 @@ class IndexSubset:
 class RectSubset(IndexSubset):
     """A dense rectangular subset."""
 
-    __slots__ = ("rect", "_linear_cache")
+    __slots__ = ("rect", "_linear_cache", "_box_cache")
 
     def __init__(self, rect: Rect):
         super().__init__()
         self.rect = rect
         self._linear_cache = None
+        self._box_cache = None
 
     def volume(self) -> int:
         return self.rect.volume
@@ -115,10 +116,29 @@ class RectSubset(IndexSubset):
         self._linear_cache = (bounds, linear)
         return linear
 
+    def box(self, bounds: Rect) -> Tuple[slice, ...]:
+        """The subset as basic-indexing slices of the region's N-D field
+        (``Region.field_nd``): the strided-view twin of
+        :meth:`linear_indices`.  An empty axis is ``slice(0, 0)``, so a
+        negative bound can never wrap into a non-empty view.  Memoized
+        per instance like :meth:`linear_indices`."""
+        cached = self._box_cache
+        if cached is not None and (cached[0] is bounds or cached[0] == bounds):
+            return cached[1]
+        rect = self.rect
+        if not bounds.contains_rect(rect):
+            raise ValueError(f"{rect} not contained in region bounds {bounds}")
+        box = tuple(
+            slice(l - bl, h - bl + 1) if h >= l else slice(0, 0)
+            for l, h, bl in zip(rect.lo, rect.hi, bounds.lo)
+        )
+        self._box_cache = (bounds, box)
+        return box
+
     def __getstate__(self):
-        # The memoized index array must not ride along in pickled shard
-        # plans (it can dwarf the descriptor-sized plan the shm transport
-        # works to keep small); workers rebuild it on demand.
+        # The memoized index array and box must not ride along in pickled
+        # shard plans (the array can dwarf the descriptor-sized plan the
+        # shm transport works to keep small); workers rebuild on demand.
         return (dict(self.__dict__), {"rect": self.rect})
 
     def __setstate__(self, state):
@@ -126,6 +146,7 @@ class RectSubset(IndexSubset):
         self.__dict__.update(d)
         self.rect = slots["rect"]
         self._linear_cache = None
+        self._box_cache = None
 
     def __repr__(self) -> str:
         return f"RectSubset({self.rect!r})"
@@ -246,6 +267,12 @@ class Subregion:
     def _indices(self) -> np.ndarray:
         return self.subset.linear_indices(self.region.bounds)
 
+    def box(self) -> Optional[Tuple[slice, ...]]:
+        """Rect subsets: the N-D slices of :meth:`read_nd`; else None."""
+        if isinstance(self.subset, RectSubset):
+            return self.subset.box(self.region.bounds)
+        return None
+
     def read(self, field: str) -> np.ndarray:
         """Gather this subregion's values of ``field``.
 
@@ -261,15 +288,10 @@ class Subregion:
 
     def read_nd(self, field: str) -> np.ndarray:
         """Rect subsets only: the field as an N-D *view* shaped like the rect."""
-        if not isinstance(self.subset, RectSubset):
+        box = self.box()
+        if box is None:
             raise TypeError("read_nd requires a rectangular subset")
-        nd = self.region.field_nd(field)
-        slices = tuple(
-            slice(l - bl, h - bl + 1)
-            for l, h, bl in zip(self.subset.rect.lo, self.subset.rect.hi,
-                                self.region.bounds.lo)
-        )
-        return nd[slices]
+        return self.region.field_nd(field)[box]
 
     def write(self, field: str, values) -> None:
         """Scatter ``values`` into this subregion's points of ``field``."""

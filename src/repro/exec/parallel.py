@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.domain import Point
+from repro.data.collection import RectSubset
 from repro.data.privileges import REDUCTION_OPS, Privilege
 from repro.exec.backend import ExecutionBackend, SerialBackend
 from repro.fault.plan import InjectedFaultError, RetryPolicy
@@ -71,7 +72,11 @@ from repro.exec.plan import (
     ShardPlan,
     UserRef,
     dumps,
+    footprint_loc,
+    footprint_store,
+    gather,
     loads,
+    loc_shape,
     priv_token,
     region_spec,
     subset_ref,
@@ -170,7 +175,7 @@ class _ShardJob:
     staged: Optional[dict] = None            # cache delta of this attempt
     payload: Any = None
     #: parent-side shm gather-back map of the *current* attempt:
-    #: global ordinal -> [(region uid, field, idx, shm view)], rebuilt on
+    #: global ordinal -> [(region uid, field, loc, shm view)], rebuilt on
     #: every (re)submission so commit always reads the attempt it awaited.
     shm_writes: Optional[Dict[int, list]] = None
 
@@ -212,16 +217,14 @@ class _PlanMemoShard:
     shm_on: bool                    # arena staging state at build
     plan: ShardPlan                 # empty-delta skeleton (analyze=False)
     blob: Optional[bytes]           # pickled skeleton; None = never reusable
-    #: ordered read-gather layout: (region uid, field, unique idx array),
-    #: exactly the slow path's ``shipped.items()`` iteration order.
+    #: the shard's footprints, precomputed boxes and shapes included (see
+    #: :func:`_footprint_layout`): the steady state only copies bytes.
     reads: List[tuple]
+    writes: List[List[tuple]]
     #: the shm descriptor each read staged at build (None for any entry
     #: that traveled as a pickled tuple); blob reuse requires the fresh
     #: descriptors to repeat these byte for byte.
     built: List[Optional[tuple]]
-    #: per local point: [(region uid, field, idx array, dtype str), ...]
-    #: in the worker's gather order; None when built with shm off.
-    write_layout: Optional[List[List[tuple]]]
 
 
 @dataclass
@@ -268,7 +271,7 @@ class _Dispatch:
     # committed only while the generation still holds — a respawn wipes the
     # worker state a stale shipment would otherwise claim it has.
     shipments: List[Tuple[int, int, dict]] = field(default_factory=list)
-    #: global ordinal -> [(uid, field, idx, shm view)] write-backs that
+    #: global ordinal -> [(uid, field, loc, shm view)] write-backs that
     #: traveled through shared memory instead of the result blob.
     shm_writes: Optional[Dict[int, list]] = None
 
@@ -311,6 +314,71 @@ class _PendingLaunch:
     touched: frozenset
     written: frozenset
     used_shm: bool
+
+
+def _add_box(boxes: list, rect, box) -> None:
+    """Add a read box unless another covers it; drop those it covers."""
+    for have, _ in boxes:
+        if have.contains_rect(rect):
+            return
+    boxes[:] = [(r, b) for r, b in boxes if not rect.contains_rect(r)]
+    boxes.append((rect, box))
+
+
+def _footprint_layout(requirements, local_projs) -> Tuple[list, list]:
+    """One shard's footprints in wire order: ``(reads, writes)``.
+
+    ``reads`` is ``[(region uid, field, loc)]`` over the non-REDUCE
+    requirements (a write footprint's current bytes ship too, so partial
+    writes gather back intact).  Each rect footprint is its own box, minus
+    any box another one of the same (region, field) covers; the sparse
+    footprints of a (region, field) fold into one sorted index union.
+    Empty footprints move nothing.  ``writes`` holds per local point one
+    ``(region uid, field, loc, shape, size, dtype)`` per (WRITE/READ_WRITE
+    requirement, field), in the worker's gather order — empty ones too, so
+    slot positions line up with the worker's.
+    """
+    groups: Dict[Tuple[int, str], Tuple[list, list]] = {}
+    for ri, req in enumerate(requirements):
+        if req.privilege.privilege is Privilege.REDUCE:
+            continue
+        fields = req.resolved_fields()
+        for subs in local_projs:
+            sub = subs[ri]
+            if not sub.volume:
+                continue
+            for fname in fields:
+                boxes, parts = groups.setdefault(
+                    (req.region.uid, fname), ([], [])
+                )
+                if isinstance(sub.subset, RectSubset):
+                    _add_box(boxes, sub.subset.rect, sub.box())
+                else:
+                    parts.append(sub._indices())
+    reads = []
+    for (uid, fname), (boxes, parts) in groups.items():
+        reads.extend((uid, fname, box) for _, box in boxes)
+        if parts:
+            reads.append((uid, fname, np.unique(np.concatenate(parts))))
+    writes = []
+    for subs in local_projs:
+        layout = []
+        for ri, req in enumerate(requirements):
+            if req.privilege.privilege not in (
+                Privilege.WRITE,
+                Privilege.READ_WRITE,
+            ):
+                continue
+            sub = subs[ri]
+            loc = footprint_loc(sub)
+            shape, size = loc_shape(loc), sub.volume
+            for fname in req.resolved_fields():
+                layout.append((
+                    req.region.uid, fname, loc, shape, size,
+                    req.region.storage(fname).dtype,
+                ))
+        writes.append(layout)
+    return reads, writes
 
 
 class ParallelBackend(ExecutionBackend):
@@ -444,18 +512,29 @@ class ParallelBackend(ExecutionBackend):
         try:
             dispatch = self._dispatch(launch, sig, assignment, replay, cache)
         except _ParallelBail as bail:
-            return self._fallback(
+            fmap = self._fallback(
                 launch, sig, op_id, assignment, replay, safe_order_free,
                 cache, bail,
             )
-        fmap = self._finish_dispatch(
-            launch, sig, op_id, assignment, replay, safe_order_free, cache,
-            dispatch, t_par,
-        )
-        # Every future was collected and every shm view consumed: reclaim
-        # the arena offsets for the next dispatch.
-        self.pool().arena.rewind_all()
+        else:
+            fmap = self._finish_dispatch(
+                launch, sig, op_id, assignment, replay, safe_order_free,
+                cache, dispatch, t_par,
+            )
+            del dispatch
+            # Every future was collected and every shm view consumed:
+            # reclaim the arena offsets for the next dispatch.
+            self.pool().arena.rewind_all()
+        self._release_retired()
         return fmap
+
+    def _release_retired(self) -> None:
+        """Unmap the shm segments a finished dispatch retired.  Runs only
+        once the dispatch committed or fell back and its write-slot views
+        (and any bail traceback pinning them) are gone."""
+        pool = self._pool
+        if pool is not None and not pool.closed:
+            pool.arena.release_retired()
 
     def _fallback(
         self, launch, sig, op_id, assignment, replay, safe_order_free, cache,
@@ -647,6 +726,7 @@ class ParallelBackend(ExecutionBackend):
                     entry.replay, entry.safe_order_free, entry.cache,
                     dispatch, entry.t_par, fmap=entry.fmap,
                 )
+                del dispatch
                 committed = True
         except InjectedFaultError as exc:
             # The serial fallback hit an unrecovered injected fault; the
@@ -669,6 +749,8 @@ class ParallelBackend(ExecutionBackend):
                     pool.arena.rewind_all()
             if not self._pending:
                 self._uninstall_hook()
+        del entry
+        self._release_retired()
 
     def _fallback_into(self, entry: _PendingLaunch, bail) -> None:
         """Tier 3 at drain time: serial re-run adopted into the FutureMap
@@ -850,6 +932,53 @@ class ParallelBackend(ExecutionBackend):
             )
             ordinal += len(local)
 
+        def stage(job: _ShardJob, gen: int, reads, writes):
+            """Stage one shard's footprints (see :func:`_footprint_layout`)
+            for worker ``job.k``: returns the plan's ``read_data``, the shm
+            descriptor each read staged (None where it pickled), and the
+            plan's ``write_slots``; records the parent-side slot views on
+            the job for commit.  With shm on, a box moves as one strided
+            copy each way; any entry the arena declines (odd dtype,
+            allocation failure) travels pickled with the same location."""
+            k = job.k
+            read_data: List[tuple] = []
+            built: List[Optional[tuple]] = []
+            for uid, fname, loc in reads:
+                store = footprint_store(region_by_uid[uid], fname, loc)
+                desc = (
+                    arena.stage_read(k, gen, uid, fname, store, loc)
+                    if shm_on
+                    else None
+                )
+                built.append(desc)
+                read_data.append(desc or (uid, fname, loc, gather(store, loc)))
+            job.shm_writes = None
+            if not shm_on:
+                return read_data, built, None
+            write_slots: List[List[Optional[tuple]]] = []
+            shm_writes: Dict[int, list] = {}
+            for ordinal, layout in zip(job.ordinals, writes):
+                slots: List[Optional[tuple]] = []
+                parent_slots = []
+                for uid, fname, loc, shape, size, dtype in layout:
+                    slot = (
+                        arena.alloc_write_slot(k, gen, shape, dtype, size)
+                        if size
+                        else None
+                    )
+                    if slot is None:
+                        slots.append(None)
+                    else:
+                        desc, view = slot
+                        slots.append(desc)
+                        parent_slots.append((uid, fname, loc, view))
+                write_slots.append(slots)
+                if parent_slots:
+                    shm_writes[ordinal] = parent_slots
+            if shm_writes:
+                job.shm_writes = shm_writes
+            return read_data, built, write_slots
+
         def build_plan(job: _ShardJob) -> Tuple[bytes, ShardPlan]:
             """(Re)build one shard plan against the worker's *current*
             committed cache view.  Retries rebuild from scratch: a
@@ -859,11 +988,12 @@ class ParallelBackend(ExecutionBackend):
             k, node = job.k, job.node
 
             # Memoized skeleton fast path: the plan's structural payload
-            # (reqs, regions, partitions, points, snapshot) is a pure
-            # function of the launch signature once the worker caches are
-            # warm, so only the footprint data and shm slots are live.
-            # Validity: same worker generation (a respawn empties the
-            # caches the skeleton assumes warm) and the same shm mode.
+            # (reqs, regions, partitions, points, snapshot) and footprint
+            # layout are a pure function of the launch signature once the
+            # worker caches are warm, so only the footprint bytes and shm
+            # slots are live.  Validity: same worker generation (a respawn
+            # empties the caches the skeleton assumes warm) and the same
+            # shm mode.
             sm = memo.shards.get(job.shard_index) if memo is not None else None
             if (
                 sm is not None
@@ -871,43 +1001,15 @@ class ParallelBackend(ExecutionBackend):
                 and sm.shm_on == shm_on
             ):
                 gen = sm.gen
-                read_data = []
-                identical = sm.blob is not None
-                for (uid, fname, idx), built in zip(sm.reads, sm.built):
-                    vals = region_by_uid[uid].storage(fname)[idx]
-                    entry = (
-                        arena.stage_read(k, gen, uid, fname, idx, vals)
-                        if shm_on
-                        else None
-                    )
-                    if entry is None or entry != built:
-                        identical = False
-                    read_data.append(entry or (uid, fname, idx, vals))
-                write_slots = None
-                job.shm_writes = None
-                if shm_on and sm.write_layout is not None:
-                    write_slots = []
-                    shm_writes: Dict[int, list] = {}
-                    for li, layout in enumerate(sm.write_layout):
-                        slots: List[Optional[tuple]] = []
-                        parent_slots = []
-                        for uid, fname, idx, dtype_str in layout:
-                            slot = arena.alloc_write_slot(
-                                k, gen, len(idx), np.dtype(dtype_str)
-                            )
-                            if slot is None:
-                                slots.append(None)
-                            else:
-                                desc, view = slot
-                                slots.append(desc)
-                                parent_slots.append((uid, fname, idx, view))
-                        write_slots.append(slots)
-                        if parent_slots:
-                            shm_writes[job.ordinals[li]] = parent_slots
-                    if shm_writes:
-                        job.shm_writes = shm_writes
+                read_data, built, write_slots = stage(
+                    job, gen, sm.reads, sm.writes
+                )
                 self.stats.plan_memo_hits += 1
-                if identical and write_slots == sm.plan.write_slots:
+                if (
+                    sm.blob is not None
+                    and built == sm.built
+                    and write_slots == sm.plan.write_slots
+                ):
                     # Steady state: the arena rewound to the same offsets,
                     # so every descriptor matches the memoized plan and the
                     # pickle blob can be resent byte-for-byte.
@@ -1019,82 +1121,11 @@ class ParallelBackend(ExecutionBackend):
                 staged["subsets"] = known_subsets - caches.subsets
 
             # Footprint data: everything the shard reads, plus current
-            # write-footprint bytes so partial writes gather back intact.
-            # With shm on, each entry travels through the worker's arena
-            # segment as a descriptor; any entry the arena declines (odd
-            # dtype, allocation failure) stays a pickled tuple.
+            # write-footprint bytes so partial writes gather back intact;
+            # and, with shm on, one gather-back slot per write footprint.
             gen = pool.generation(k)
-            read_data = []
-            shipped: Dict[Tuple[int, str], List[np.ndarray]] = {}
-            for ri, req in enumerate(launch.requirements):
-                if req.privilege.privilege is Privilege.REDUCE:
-                    continue
-                for subs in local_projs:
-                    sub = subs[ri]
-                    for fname in req.resolved_fields():
-                        shipped.setdefault(
-                            (req.region.uid, fname), []
-                        ).append(sub._indices())
-            reads_memo: List[tuple] = []
-            built_descs: List[Optional[tuple]] = []
-            for (uid, fname), idx_parts in shipped.items():
-                idx = np.unique(np.concatenate(idx_parts))
-                vals = region_by_uid[uid].storage(fname)[idx]
-                entry = (
-                    arena.stage_read(k, gen, uid, fname, idx, vals)
-                    if shm_on
-                    else None
-                )
-                reads_memo.append((uid, fname, idx))
-                built_descs.append(entry)
-                read_data.append(entry or (uid, fname, idx, vals))
-
-            # Gather-back slots: projection is pure, so the parent derives
-            # the same write indices the worker will, pre-allocates one shm
-            # slot per (point, requirement, field) in the worker's gather
-            # order, and keeps (uid, field, idx, view) for commit.
-            write_slots = None
-            write_layout: Optional[List[List[tuple]]] = None
-            job.shm_writes = None
-            if shm_on:
-                write_slots = []
-                write_layout = []
-                shm_writes: Dict[int, list] = {}
-                for li, subs in enumerate(local_projs):
-                    slots: List[Optional[tuple]] = []
-                    parent_slots = []
-                    layout: List[tuple] = []
-                    for ri, req in enumerate(launch.requirements):
-                        if req.privilege.privilege not in (
-                            Privilege.WRITE,
-                            Privilege.READ_WRITE,
-                        ):
-                            continue
-                        sub = subs[ri]
-                        idx = sub._indices()
-                        store_of = req.region.storage
-                        for fname in req.resolved_fields():
-                            dtype = store_of(fname).dtype
-                            layout.append(
-                                (req.region.uid, fname, idx, dtype.str)
-                            )
-                            slot = arena.alloc_write_slot(
-                                k, gen, len(idx), dtype
-                            )
-                            if slot is None:
-                                slots.append(None)
-                            else:
-                                desc, view = slot
-                                slots.append(desc)
-                                parent_slots.append(
-                                    (req.region.uid, fname, idx, view)
-                                )
-                    write_slots.append(slots)
-                    write_layout.append(layout)
-                    if parent_slots:
-                        shm_writes[ordinals[li]] = parent_slots
-                if shm_writes:
-                    job.shm_writes = shm_writes
+            reads, writes = _footprint_layout(launch.requirements, local_projs)
+            read_data, built_descs, write_slots = stage(job, gen, reads, writes)
 
             extra = None
             if launch.point_args is not None:
@@ -1156,9 +1187,9 @@ class ParallelBackend(ExecutionBackend):
                         else replace(plan, read_data=(), write_slots=None)
                     ),
                     blob=blob if reusable else None,
-                    reads=reads_memo,
+                    reads=reads,
+                    writes=writes,
                     built=built_descs,
-                    write_layout=write_layout,
                 )
             return blob, plan
 
@@ -1590,8 +1621,8 @@ class ParallelBackend(ExecutionBackend):
         else:
             for g in order:
                 trec = dispatch.tasks[g]
-                for uid, fname, idx, vals in self._task_writes(dispatch, g):
-                    region_by_uid[uid].storage(fname)[idx] = vals
+                for uid, fname, loc, vals in self._task_writes(dispatch, g):
+                    footprint_store(region_by_uid[uid], fname, loc)[loc] = vals
                 for uid, fname, idx, vals, opname in trec.reduces:
                     self._apply_reduce(
                         region_by_uid[uid], fname, idx, vals, opname
@@ -1644,26 +1675,33 @@ class ParallelBackend(ExecutionBackend):
     def _commit_effects_batched(self, dispatch, order, region_by_uid) -> None:
         """Launch-granularity application of shard write-backs and reduces.
 
-        Byte-identity with the per-task loop rests on two facts.  Writes:
+        Byte-identity with the serial backend rests on two facts.  Writes:
         only verified launches are dispatched, and the cross-check proves
-        all write footprints of a launch pairwise disjoint, so scattering
-        one concatenated (idx, values) pair per (region, field) is
-        order-free and lands the same bytes.  Reduces: ``np.ufunc.at``
-        applies duplicate indices sequentially in index-array order, so
-        concatenating recorded calls per (region, field, operator) in
-        commit order accumulates bit-identically; a group is flushed early
-        whenever the *operator* on its (region, field) changes, preserving
-        the interleaving the per-task loop would produce.  Eligibility
-        already guarantees writes and reduces never share a (region,
-        field), so the two phases commute.
+        all write footprints of a launch pairwise disjoint, so each one
+        lands on its own — ``field_nd[box] = slot`` for a rect, one
+        scatter for a sparse index set — and their order is free.
+        Reduces: ``np.ufunc.at`` applies duplicate indices sequentially in
+        index-array order, so concatenating recorded calls per (region,
+        field, operator) in commit order accumulates bit-identically; a
+        group is flushed early whenever the *operator* on its (region,
+        field) changes, preserving the interleaving the per-task loop would
+        produce.  Eligibility already guarantees writes and reduces never
+        share a (region, field), so the two phases commute.
         """
-        writes: Dict[Tuple[int, str], List[tuple]] = {}
+        stores: Dict[tuple, np.ndarray] = {}
         reduces: Dict[Tuple[int, str], Tuple[str, list, list]] = {}
         stats = self.stats
         for g in order:
             trec = dispatch.tasks[g]
-            for uid, fname, idx, vals in self._task_writes(dispatch, g):
-                writes.setdefault((uid, fname), []).append((idx, vals))
+            for uid, fname, loc, vals in self._task_writes(dispatch, g):
+                key = (uid, fname, isinstance(loc, tuple))
+                store = stores.get(key)
+                if store is None:
+                    store = stores[key] = footprint_store(
+                        region_by_uid[uid], fname, loc
+                    )
+                store[loc] = vals
+                stats.batched_commit_ops += 1
             for uid, fname, idx, vals, opname in trec.reduces:
                 key = (uid, fname)
                 pending = reduces.get(key)
@@ -1676,16 +1714,6 @@ class ParallelBackend(ExecutionBackend):
                 else:
                     pending[1].append(idx)
                     pending[2].append(np.asarray(vals).ravel())
-        for (uid, fname), parts in writes.items():
-            store = region_by_uid[uid].storage(fname)
-            if len(parts) == 1:
-                idx, vals = parts[0]
-                store[idx] = vals
-            else:
-                store[np.concatenate([p[0] for p in parts])] = np.concatenate(
-                    [np.asarray(p[1]) for p in parts]
-                )
-            stats.batched_commit_ops += 1
         for key, pending in reduces.items():
             self._flush_reduce_group(region_by_uid, key, pending)
             stats.batched_commit_ops += 1

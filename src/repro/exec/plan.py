@@ -41,6 +41,10 @@ __all__ = [
     "loads",
     "subset_ref",
     "region_spec",
+    "footprint_loc",
+    "footprint_store",
+    "loc_shape",
+    "gather",
     "priv_token",
     "priv_from_token",
     "ReqTemplate",
@@ -93,6 +97,38 @@ def subset_ref(subset, shipped_uids: Optional[set] = None) -> tuple:
     if shipped_uids is not None:
         shipped_uids.add(subset.uid)
     return ("sparse", subset.uid, subset.indices)
+
+
+# --------------------------------------------------------------- footprints
+# A footprint's *location* has one of two forms.  A rect subset is a *box*,
+# a tuple of slices into the region's N-D field (``Region.field_nd``), so its
+# bytes move as one strided copy with no index array.  A sparse subset is
+# its int64 linear-index array into the flat field (``Region.storage``).
+def footprint_loc(sub):
+    """The location of a subregion's footprint: its box, else its indices."""
+    box = sub.box()
+    return box if box is not None else sub._indices()
+
+
+def footprint_store(region, fname: str, loc) -> np.ndarray:
+    """The field array ``loc`` indexes: N-D for a box, flat for indices."""
+    if isinstance(loc, tuple):
+        return region.field_nd(fname)
+    return region.storage(fname)
+
+
+def loc_shape(loc):
+    """The shape of a footprint's values: per-axis extents of a box, the
+    index count of an index array."""
+    if isinstance(loc, tuple):
+        return tuple(s.stop - s.start for s in loc)
+    return len(loc)
+
+
+def gather(store: np.ndarray, loc) -> np.ndarray:
+    """An owned copy of a footprint's values (a box alone yields a view)."""
+    values = store[loc]
+    return values.copy() if isinstance(loc, tuple) else values
 
 
 def region_spec(region) -> tuple:
@@ -181,18 +217,21 @@ class ShardPlan:
     partitions: List[PartitionEntry]
     snapshot: Dict[int, List[UserRef]]  # region uid -> pre-launch users
     analyze: bool                   # run physical analysis (no template replay)
-    #: read footprints: legacy pickle tuples (region_uid, field, idx array,
-    #: values) or shm descriptors ("shm", uid, field, segment, idx_off,
-    #: count, idx_dtype, val_off, val_dtype) — see repro.exec.shm.
+    #: read footprints, each one of (see repro.exec.shm):
+    #: ("box", uid, field, box, segment, val_off, val_dtype) — a rect in shm;
+    #: ("shm", uid, field, segment, idx_off, count, idx_dtype, val_off,
+    #: val_dtype) — a sparse index set in shm; or the pickled
+    #: (uid, field, loc, values), loc a box or an index array.
     read_data: List[tuple]
     profile: bool
     #: armed fault directives (kind, phase, point|None, hang_s) — injected
     #: failures the worker fires with real effects; see repro.fault.
     faults: List[tuple] = field(default_factory=list)
     #: shm gather-back slots, parallel to ``points``: per point, one
-    #: (segment, val_off, count, val_dtype) | None per (WRITE/READ_WRITE
-    #: requirement, field) in gather order.  None (or a None slot) means
-    #: the worker pickles that footprint into ``TaskResult.writes``.
+    #: (segment, val_off, shape, val_dtype) | None per (WRITE/READ_WRITE
+    #: requirement, field) in gather order; ``shape`` is ``loc_shape`` of
+    #: the footprint.  None (or a None slot) means the worker pickles a
+    #: non-empty footprint into ``TaskResult.writes``.
     write_slots: Optional[List[List[Optional[tuple]]]] = None
 
 
@@ -210,7 +249,7 @@ class TaskResult:
     value_blob: bytes               # future value (pickled separately)
     deps: List[Tuple[int, int]]     # (earlier real task id, region uid)
     ops: Optional[List[tuple]]      # per-access op records when analyze
-    writes: List[tuple]             # (region_uid, field, idx, final values)
+    writes: List[tuple]             # (region_uid, field, loc, final values)
     reduces: List[tuple]            # (region_uid, field, idx, values, op name)
     span: Optional[tuple]           # (start, end) on the worker clock
 

@@ -4,32 +4,40 @@ Hot-path engine layer 1 (see ``docs/hot-path.md``).  The parallel backend
 ships two kinds of bulk array data per shard: *read footprints* (the region
 bytes a shard's tasks read, scattered into worker-local storage at install)
 and *write-back footprints* (the final bytes a shard's WRITE/READ_WRITE
-tasks produced, scattered into parent storage at commit).  Both previously
-traveled as pickled numpy arrays inside the plan/result blobs; this module
-moves them through per-worker ``multiprocessing.shared_memory`` segments so
-the plan and result carry only small descriptors:
+tasks produced, scattered into parent storage at commit).  Both move
+through per-worker ``multiprocessing.shared_memory`` segments, so the plan
+and result carry only small descriptors.
 
-* read descriptor (in ``ShardPlan.read_data``)::
+A footprint's location (``repro.exec.plan.footprint_loc``) is a *box* for a
+rect subset — slices into the region's N-D field — and an int64 index
+array for a sparse one.  A box is the only wire form of a rect: its values
+travel as one strided copy into a segment view shaped like the box, and no
+index array exists anywhere on the path.
 
+* read descriptors (in ``ShardPlan.read_data``)::
+
+      ("box", region_uid, field, box, segment, val_off, val_dtype)
       ("shm", region_uid, field, segment, idx_off, count, idx_dtype,
        val_off, val_dtype)
 
-  The parent copies the index array and the values into the segment; the
-  worker maps views and scatters ``storage[idx] = vals``.
+  A box read is one ``np.copyto`` from ``field_nd[box]`` into the segment;
+  the worker scatters ``field_nd[box] = view``.  A sparse read copies the
+  index array and gathers the values straight into the segment; the worker
+  scatters ``storage[idx] = vals``.
 
 * write slot (in ``ShardPlan.write_slots``, one entry per (requirement,
   field) in the worker's gather order)::
 
-      (segment, val_off, count, val_dtype)
+      (segment, val_off, shape, val_dtype)
 
-  The parent pre-computes each write footprint's index array (projection is
-  pure, so parent and worker derive identical indices), allocates an
-  uninitialized slot, and keeps an ``(uid, field, idx, view)`` record; the
-  worker fills the slot with its final bytes instead of pickling them, and
-  the parent commits straight from its own view.
+  ``shape`` is the box's extents (or the index count).  Projection is pure,
+  so the parent derives the same footprints the worker will, allocates an
+  uninitialized slot, and keeps a ``(uid, field, loc, view)`` record; the
+  worker fills the slot with ``np.copyto(slot, field_nd[box])`` instead of
+  pickling, and the parent commits ``field_nd[box] = slot`` from its view.
 
-Ownership and lifecycle — designed so the PR 5/6 stale-shipment protocol
-carries over unchanged:
+Ownership and lifecycle — designed so the stale-shipment protocol of the
+recovery ladder carries over unchanged:
 
 * Segments are **parent-owned**: created, rewound, and unlinked only by the
   parent.  Workers attach read-only by name and explicitly *unregister*
@@ -46,17 +54,22 @@ carries over unchanged:
   the serial fallback *abandons* (unlinks) the current segments instead:
   an uncollected straggler keeps its orphaned mapping and the next
   dispatch starts on fresh segments.
+* A retired segment stays mapped in the parent until the dispatch that
+  retired it has committed or fallen back, and until no numpy view of it
+  survives (:meth:`ShmArena.release_retired`); only then is it unmapped.
 
 Fallback: every entry degrades independently to the pickle transport —
-object/void dtypes, zero-length footprints, allocation failures, or shm
-being unavailable (``REPRO_SHM=0``, ``RuntimeConfig.shm=False``, or no
-platform support) simply leave the legacy tuples in place, and the worker
-handles both forms unconditionally.  CI exercises both paths.
+object/void dtypes, allocation failures, or shm being unavailable
+(``REPRO_SHM=0``, ``RuntimeConfig.shm=False``, or no platform support)
+leave ``(uid, field, loc, values)`` tuples in place, with the same box or
+index location, and the worker handles every form unconditionally.
+Empty footprints move nothing at all.  CI exercises both paths.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -102,12 +115,18 @@ class ShmStats:
 
 
 class _Segment:
-    __slots__ = ("shm", "size", "used")
+    __slots__ = ("shm", "size", "used", "idle_refs")
 
     def __init__(self, shm, size: int):
         self.shm = shm
         self.size = size
         self.used = 0
+        #: references to the mapping while no numpy view of it exists;
+        #: every view holds one more (numpy keeps the mmap as its base).
+        self.idle_refs = sys.getrefcount(shm._mmap)
+
+    def has_views(self) -> bool:
+        return sys.getrefcount(self.shm._mmap) > self.idle_refs
 
 
 _ARENA_COUNTER = [0]
@@ -139,7 +158,8 @@ class ShmArena:
         #: exist — it silently unmaps, and the next segment's mapping can
         #: land at the same address, aliasing the dangling views onto fresh
         #: data.  So retirement only unlinks (frees the name); the mapping
-        #: stays open until :meth:`close`, when no dispatch can be alive.
+        #: stays open until :meth:`release_retired` runs between dispatches
+        #: and finds no view of it alive.
         self._retired: List[_Segment] = []
         self._gens = [0] * n
         self._seq = [0] * n
@@ -190,54 +210,72 @@ class ShmArena:
         return seg, 0
 
     @staticmethod
-    def _shippable(arr: np.ndarray) -> bool:
-        return arr.dtype.hasobject is False and arr.dtype.kind != "V"
+    def _shippable(dtype: np.dtype) -> bool:
+        return dtype.hasobject is False and dtype.kind != "V"
 
-    def view(self, seg: _Segment, offset: int, count: int, dtype):
-        return np.ndarray(count, dtype=dtype, buffer=seg.shm.buf, offset=offset)
+    def view(self, seg: _Segment, offset: int, shape, dtype):
+        return np.ndarray(shape, dtype=dtype, buffer=seg.shm.buf, offset=offset)
 
     # -------------------------------------------------------------- staging
     def stage_read(
         self, k: int, gen: int, uid: int, fname: str,
-        idx: np.ndarray, vals: np.ndarray,
+        store: np.ndarray, loc,
     ) -> Optional[tuple]:
-        """Copy one read footprint into shm; returns its wire descriptor."""
-        if not (self._shippable(idx) and self._shippable(vals)):
+        """Copy one non-empty read footprint into shm; returns its wire
+        descriptor.  ``store`` is ``footprint_store(region, fname, loc)``:
+        the N-D field for a box, the flat field for an index array."""
+        dtype = store.dtype
+        if not self._shippable(dtype):
             self.stats.read_fallbacks += 1
             return None
-        nbytes = idx.nbytes + _ALIGN + vals.nbytes
-        slice_ = self._alloc(k, gen, nbytes)
+        if isinstance(loc, tuple):
+            src = store[loc]
+            slice_ = self._alloc(k, gen, src.nbytes)
+            if slice_ is None:
+                self.stats.read_fallbacks += 1
+                return None
+            seg, val_off = slice_
+            np.copyto(self.view(seg, val_off, src.shape, dtype), src)
+            self.stats.read_entries += 1
+            self.stats.bytes_staged += src.nbytes
+            return ("box", uid, fname, loc, seg.shm.name, val_off, dtype.str)
+        idx = loc
+        count = len(idx)
+        nbytes = idx.nbytes + count * dtype.itemsize
+        slice_ = self._alloc(k, gen, nbytes + _ALIGN)
         if slice_ is None:
             self.stats.read_fallbacks += 1
             return None
         seg, idx_off = slice_
         val_off = (idx_off + idx.nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
-        self.view(seg, idx_off, len(idx), idx.dtype)[:] = idx
-        self.view(seg, val_off, len(vals), vals.dtype)[:] = vals
+        self.view(seg, idx_off, count, idx.dtype)[:] = idx
+        np.take(store, idx, out=self.view(seg, val_off, count, dtype))
         self.stats.read_entries += 1
-        self.stats.bytes_staged += idx.nbytes + vals.nbytes
+        self.stats.bytes_staged += nbytes
         return (
-            "shm", uid, fname, seg.shm.name, idx_off, len(idx),
-            idx.dtype.str, val_off, vals.dtype.str,
+            "shm", uid, fname, seg.shm.name, idx_off, count,
+            idx.dtype.str, val_off, dtype.str,
         )
 
     def alloc_write_slot(
-        self, k: int, gen: int, count: int, dtype
+        self, k: int, gen: int, shape, dtype: np.dtype, size: int
     ) -> Optional[Tuple[tuple, np.ndarray]]:
-        """An uninitialized gather-back slot: (wire descriptor, parent view)."""
-        dtype = np.dtype(dtype)
-        if count <= 0 or dtype.hasobject or dtype.kind == "V":
+        """An uninitialized gather-back slot of ``size`` elements shaped
+        ``shape`` (``loc_shape`` of a non-empty footprint): (wire
+        descriptor, parent view)."""
+        if not self._shippable(dtype):
             self.stats.write_fallbacks += 1
             return None
-        slice_ = self._alloc(k, gen, count * dtype.itemsize)
+        nbytes = size * dtype.itemsize
+        slice_ = self._alloc(k, gen, nbytes)
         if slice_ is None:
             self.stats.write_fallbacks += 1
             return None
         seg, offset = slice_
-        view = self.view(seg, offset, count, dtype)
+        view = self.view(seg, offset, shape, dtype)
         self.stats.write_slots += 1
-        self.stats.bytes_slotted += count * dtype.itemsize
-        return (seg.shm.name, offset, count, dtype.str), view
+        self.stats.bytes_slotted += nbytes
+        return (seg.shm.name, offset, shape, dtype.str), view
 
     # ------------------------------------------------------------ lifecycle
     def _retire(self, seg: _Segment) -> None:
@@ -304,14 +342,36 @@ class ShmArena:
         for k in range(self.n):
             self._drop_worker(k)
 
+    def release_retired(self) -> None:
+        """Unmap every retired segment no numpy view still references.
+
+        Called between dispatches — after a commit or a serial fallback,
+        once the dispatch's write-slot views are dropped — so each bail or
+        respawn frees its mappings instead of stranding them until pool
+        shutdown.  A segment some view still reaches (a caller holding an
+        exception whose traceback pins the dispatch) stays retired and is
+        retried at the next release."""
+        if not self._retired:
+            return
+        keep = []
+        for seg in self._retired:
+            if seg.has_views():
+                keep.append(seg)
+                continue
+            self._close(seg)
+        self._retired = keep
+
+    def _close(self, seg: _Segment) -> None:
+        try:
+            seg.shm.close()
+        except Exception as exc:  # pragma: no cover
+            self._note_teardown_error(exc)
+
     def close(self) -> None:
         for k in range(self.n):
             self._drop_worker(k)
         for seg in self._retired:
-            try:
-                seg.shm.close()
-            except Exception as exc:  # pragma: no cover
-                self._note_teardown_error(exc)
+            self._close(seg)
         self._retired.clear()
 
     def live_segments(self) -> List[str]:

@@ -16,7 +16,8 @@ Determinism notes:
 * Reductions are *recorded, not applied*: ``np.add.at`` with duplicate
   indices is order-sensitive, so the parent replays the recorded calls in
   serial task order for bit-identical floating point results.
-* Write-backs return final values *with* their indices, so the parent can
+* Write-backs return final values *with* their location — a box for a
+  rect footprint, an index array for a sparse one — so the parent can
   scatter without re-deriving footprints.
 * Workers never see ``ctx.runtime`` (it is None): a task attempting a
   nested launch fails here, and the parent falls back to the serial
@@ -41,7 +42,11 @@ from repro.exec.plan import (
     ShardResult,
     TaskResult,
     dumps,
+    footprint_loc,
+    footprint_store,
+    gather,
     loads,
+    loc_shape,
     op_record,
     priv_from_token,
 )
@@ -107,9 +112,9 @@ def _attach_shm(name: str):
     return shm
 
 
-def _shm_view(name: str, offset: int, count: int, dtype: str) -> np.ndarray:
+def _shm_view(name: str, offset: int, shape, dtype: str) -> np.ndarray:
     return np.ndarray(
-        count, dtype=np.dtype(dtype), buffer=_attach_shm(name).buf,
+        shape, dtype=np.dtype(dtype), buffer=_attach_shm(name).buf,
         offset=offset,
     )
 
@@ -218,14 +223,19 @@ def _install_plan_state(plan: ShardPlan) -> None:
     if plan.task_blob is not None:
         install_task(plan.task_uid, plan.task_blob)
     for entry in plan.read_data:
-        if entry[0] == "shm":
+        kind = entry[0]
+        if kind == "box":
+            _, region_uid, fname, loc, seg, val_off, val_dtype = entry
+            values = _shm_view(seg, val_off, loc_shape(loc), val_dtype)
+        elif kind == "shm":
             (_, region_uid, fname, seg, idx_off, count,
              idx_dtype, val_off, val_dtype) = entry
-            idx = _shm_view(seg, idx_off, count, idx_dtype)
+            loc = _shm_view(seg, idx_off, count, idx_dtype)
             values = _shm_view(seg, val_off, count, val_dtype)
         else:
-            region_uid, fname, idx, values = entry
-        _REGIONS[region_uid].storage(fname)[idx] = values
+            region_uid, fname, loc, values = entry
+        region = _REGIONS[region_uid]
+        footprint_store(region, fname, loc)[loc] = values
 
 
 def _snapshot_analyzer(plan: ShardPlan) -> PhysicalAnalyzer:
@@ -395,21 +405,26 @@ def _run_shard(plan: ShardPlan) -> ShardResult:
                 Privilege.READ_WRITE,
             ):
                 continue
-            idx = sub._indices()
+            loc = footprint_loc(sub)
             for fname in rf:
                 slot = None
                 if slots is not None and slot_i < len(slots):
                     slot = slots[slot_i]
                 slot_i += 1
-                # Fancy indexing materializes a fresh copy either way.
-                data = sub.region.storage(fname)[idx]
-                if slot is not None and slot[2] == len(idx):
-                    # Parent pre-allocated a gather-back slot (same idx by
-                    # pure projection); fill it and ship nothing.
-                    seg, val_off, count, val_dtype = slot
-                    _shm_view(seg, val_off, count, val_dtype)[:] = data
-                    continue
-                writes.append((sub.region.uid, fname, idx, data))
+                store = footprint_store(sub.region, fname, loc)
+                if slot is not None:
+                    # Parent pre-allocated a gather-back slot (same
+                    # footprint by pure projection); fill it, ship nothing.
+                    seg, val_off, shape, val_dtype = slot
+                    view = _shm_view(seg, val_off, shape, val_dtype)
+                    src = store[loc]
+                    if view.shape == src.shape:
+                        np.copyto(view, src)
+                        continue
+                if sub.volume:
+                    writes.append(
+                        (sub.region.uid, fname, loc, gather(store, loc))
+                    )
         result.tasks.append(
             TaskResult(
                 ordinal=plan.ordinals[i],

@@ -13,11 +13,14 @@ tier-3 serial fallback, and pool teardown.
 import glob
 import os
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.partition import equal_partition
 from repro.exec.pool import shutdown_pools
 from repro.fault import FaultPlan, FaultSpec, RetryPolicy
+from repro.runtime import Runtime, RuntimeConfig, task
 
 from tests.exec.test_parallel_equivalence import (
     full_stats,
@@ -56,6 +59,16 @@ def _observables(ops, iters, cfg, workers, **extra):
 def _shm_files() -> list:
     """This process's shared-memory segments still linked in /dev/shm."""
     return glob.glob(f"/dev/shm/reproshm-{os.getpid()}p*")
+
+
+def _shm_mappings():
+    """How many shared-memory segments this process has mapped (Linux
+    ``/proc/self/maps``), unlinked ones included; None elsewhere."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return sum("/reproshm-" in line for line in fh)
+    except OSError:
+        return None
 
 
 class TestKnobIdentity:
@@ -162,4 +175,64 @@ class TestShmLeaks:
         live = set(rt.backend._pool.arena.live_segments())
         assert {os.path.basename(p) for p in _shm_files()} == live
         shutdown_pools()
+        assert _shm_files() == []
+
+    def test_bailed_launches_release_retired_segments(self):
+        """Every bail to the serial fallback retires a full set of
+        segments.  They must be unmapped once the fallback has run, not
+        held until pool shutdown: a long-lived service that keeps bailing
+        would otherwise grow its mappings without bound."""
+        shutdown_pools()
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="corrupt", scope="worker", target=(0,),
+                      phase="execution", times=-1),
+        ))
+        no_ladder = RetryPolicy(
+            same_worker_retries=0, respawns=0,
+            backoff_base_s=1e-4, backoff_cap_s=1e-3,
+            shard_timeout_s=30.0,
+        )
+        retired, mapped = [], []
+
+        @task(privileges=["reads writes"])
+        def probe_bump(ctx, r):
+            r.write("x", r.read("x") + 1.0)
+
+        rt = Runtime(RuntimeConfig(workers=2, n_nodes=4, shm=True,
+                                   transport="pipe", fault_plan=plan,
+                                   retry=no_ladder))
+        rx = rt.create_region("rx", 16, {"x": "f8"})
+        rx.storage("x")[:] = np.arange(16.0)
+        p8 = equal_partition("p8", rx, 8)
+        for _ in range(20):
+            rt.index_launch(probe_bump, 8, p8)
+            arena = rt.backend._pool.arena
+            retired.append(len(arena._retired))
+            mapped.append(_shm_mappings())
+        assert rt.backend.stats.fallbacks == 20
+        assert np.array_equal(rx.storage("x"), np.arange(16.0) + 20)
+        # Nothing retired survives its dispatch, and the parent's mapping
+        # count stays flat instead of growing by a segment set per bail.
+        assert max(retired) == 0, retired
+        if mapped[0] is not None:
+            assert max(mapped) <= 2 * arena.n, mapped
+        shutdown_pools()
+        assert _shm_files() == []
+
+    def test_release_keeps_segments_with_live_views(self):
+        """The aliasing guard: a retired segment some numpy view still
+        reaches stays mapped until that view is gone."""
+        from repro.exec.shm import ShmArena
+
+        arena = ShmArena(1)
+        _desc, view = arena.alloc_write_slot(0, 0, (4, 2), np.dtype("f8"), 8)
+        view[...] = 7.0
+        arena.on_reset(0, 1)  # a respawn retires the worker's segments
+        arena.release_retired()
+        assert len(arena._retired) == 1
+        assert view.sum() == 56.0  # still mapped, still the same bytes
+        del view
+        arena.release_retired()
+        assert arena._retired == []
+        arena.close()
         assert _shm_files() == []

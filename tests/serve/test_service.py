@@ -5,6 +5,7 @@ persistence of the analysis cache."""
 import glob
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,14 @@ def _bump_fn(ctx, r):
 
 
 BUMP = task(privileges=["reads writes"])(_bump_fn)
+
+
+def _wait_for(condition, timeout=10.0):
+    """Poll ``condition`` until it holds; fail the test on timeout."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 def _shm_files():
@@ -156,10 +165,19 @@ class TestAdmissionControl:
             try:
                 svc._executor.submit(gate.wait)
                 # Fill the queue behind the pinned thread by hand, then a
-                # normal call must raise ServiceBusy.
-                for seq in (900, 901):
+                # normal call must raise ServiceBusy.  Each raw CALL waits
+                # until the server has taken it in: sent back to back, both
+                # could land in one read, the second be refused, and the
+                # dispatcher then free the queue slot this test fills.
+                (session,) = svc.sessions.values()
+                for seq, queued in ((900, 0), (901, 1)):
                     wire.send_frame(cli._sock, wire.CALL, seq,
                                     dumps(("drain", {})))
+                    admitted = seq - 899
+                    _wait_for(lambda: (
+                        svc.metrics.total("serve.admissions") == admitted
+                        and len(session.queue) == queued
+                    ))
                 with pytest.raises(ServiceBusy):
                     cli.drain()
             finally:
